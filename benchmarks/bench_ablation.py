@@ -2,7 +2,8 @@
 
 A1 — grammar versioning + table cache: importing an extension forces a
      table regeneration, but the fingerprint cache amortizes it across
-     compilations (without the cache, every `use` would pay ~0.3 s).
+     compilations (without the cache, every `use` would pay ~30 ms of
+     table generation).
 A2 — compile-once templates: a template's pattern parse and hygiene
      analysis are paid once; instantiation replays reductions only.
 A3 — statement-at-a-time parsing: the early-accept driver's overhead

@@ -1,7 +1,10 @@
 """LALR(1) lookahead computation and parse-table construction.
 
-Lookaheads are computed with the spontaneous-generation/propagation
-algorithm (Aho et al. 4.7.4).  Conflicts are resolved only through
+Lookaheads are computed with DeRemer and Pennello's relations over the
+LR(0) automaton (direct reads, ``reads``, ``includes``, ``lookback``),
+each relation solved by one strongly-connected-component traversal, so
+generation is linear in the relations rather than one LR(1) closure per
+kernel item.  Conflicts are resolved only through
 declared operator precedence; anything left over raises ConflictError —
 Maya's generator "rejects grammars that contain unresolved LALR(1)
 conflicts" instead of applying YACC's default resolutions.
@@ -15,13 +18,13 @@ import pickle
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import faults, perf
 from repro.obs.metrics import REGISTRY
 from repro.grammar import Assoc, Grammar, GrammarFingerprint, Production
-from repro.lalr.automaton import DOT_STRIDE, Automaton, item, item_parts
-from repro.lalr.encoded import EOF, PROBE, EncodedGrammar
+from repro.lalr.automaton import Automaton, item_parts
+from repro.lalr.encoded import EncodedGrammar
 
 
 class ConflictError(Exception):
@@ -103,7 +106,7 @@ class ParseTables:
         return sorted(
             self.encoded.name(t)
             for t in self.action[state]
-            if t != PROBE and not self.encoded.name(t).startswith("$eof")
+            if not self.encoded.name(t).startswith("$eof")
         )
 
     def has_goto(self, state: int, sym_id: int) -> bool:
@@ -112,40 +115,31 @@ class ParseTables:
     # -- construction --------------------------------------------------------
 
     def _build(self) -> None:
-        lookaheads = self._compute_lookaheads()
         encoded = self.encoded
-        automaton = self.automaton
-        productions = encoded.productions
         conflicts: List[str] = []
+        reductions = self._reductions()
 
-        start_prods = set(encoded.start_production.values())
-
-        for state, kernel in enumerate(automaton.states):
+        for state, transitions in enumerate(self.automaton.transitions):
             actions: Dict[int, Tuple[str, int]] = {}
             gotos: Dict[int, int] = {}
-            for symbol, target in automaton.transitions[state].items():
+            for symbol, target in transitions.items():
                 if encoded.is_terminal[symbol]:
                     actions[symbol] = (SHIFT, target)
                 else:
                     gotos[symbol] = target
 
-            kernel_las = {
-                k: set(lookaheads.get((state, k), ())) for k in kernel
-            }
-            full = self._lr1_closure(kernel_las)
-            for encoded_item, las in full.items():
-                prod_index, dot = item_parts(encoded_item)
-                _, rhs = productions[prod_index]
-                if dot != len(rhs):
-                    continue
-                if prod_index in start_prods:
-                    eof_id = self.encoded.eof_of_production[prod_index]
+            for prod_index, lookaheads in reductions[state]:
+                eof_id = encoded.eof_of_production.get(prod_index)
+                if eof_id is not None:
                     actions[eof_id] = (ACCEPT, prod_index)
                     continue
-                for la in las:
-                    if la == PROBE:
-                        continue
-                    self._add_reduce(state, actions, la, prod_index, conflicts)
+                # Ascending symbol id: conflict text is in a fixed order.
+                while lookaheads:
+                    low = lookaheads & -lookaheads
+                    lookaheads ^= low
+                    self._add_reduce(
+                        state, actions, low.bit_length() - 1, prod_index,
+                        conflicts)
             self.action.append(actions)
             self.goto.append(gotos)
 
@@ -210,90 +204,150 @@ class ParseTables:
 
     # -- lookaheads -----------------------------------------------------------
 
-    def _lr1_closure(
-        self, seed: Dict[int, Set[int]]
-    ) -> Dict[int, Set[int]]:
-        """LR(1) closure of items with lookahead sets (PROBE allowed)."""
-        encoded = self.encoded
-        productions = encoded.productions
-        items: Dict[int, Set[int]] = {k: set(v) for k, v in seed.items()}
-        worklist: List[Tuple[int, int]] = [
-            (k, la) for k, las in seed.items() for la in las
-        ]
-        while worklist:
-            encoded_item, la = worklist.pop()
-            prod_index, dot = item_parts(encoded_item)
-            _, rhs = productions[prod_index]
-            if dot >= len(rhs):
-                continue
-            symbol = rhs[dot]
-            if encoded.is_terminal[symbol]:
-                continue
-            firsts, nullable = encoded.first_of_suffix(prod_index, dot + 1)
-            new_las = set(firsts)
-            if nullable:
-                new_las.add(la)
-            for next_prod in encoded.by_lhs.get(symbol, ()):
-                target = item(next_prod, 0)
-                existing = items.setdefault(target, set())
-                for new_la in new_las:
-                    if new_la not in existing:
-                        existing.add(new_la)
-                        worklist.append((target, new_la))
-        return items
+    def _reductions(self) -> List[List[Tuple[int, int]]]:
+        """Per state, its reduce items as ``(production, lookaheads)``.
 
-    def _compute_lookaheads(self) -> Dict[Tuple[int, int], Set[int]]:
-        """Kernel-item lookaheads via spontaneous generation + propagation."""
+        DeRemer & Pennello (1982): over the LR(0) automaton's
+        nonterminal transitions ``(p, A)``,
+
+        * ``DR(p, A)``: terminals shifted in ``goto(p, A)``;
+        * ``(p, A) reads (r, C)`` iff ``r = goto(p, A)`` and ``C`` is
+          nullable, so ``Read = digraph(reads, DR)``;
+        * ``(p, A) includes (p', B)`` iff ``B -> b A g`` with ``g``
+          nullable and ``p' --b--> p``, so
+          ``Follow = digraph(includes, Read)``;
+        * ``(q, A -> w) lookback (p, A)`` iff ``p --w--> q``.
+
+        A reduce item's lookahead set is the union of the Follow sets it
+        looks back to.  Sets are int bitmasks over symbol ids.  Each
+        start's ``$eof:X`` seeds ``DR(start_state[X], X)``.  Items come
+        in a fixed order: completed kernel items in kernel order, then
+        the closure's ε-productions in grammar order.
+        """
+        encoded = self.encoded
         automaton = self.automaton
-        encoded = self.encoded
         productions = encoded.productions
+        is_terminal = encoded.is_terminal
+        nullable = encoded.nullable
+        transitions = automaton.transitions
 
-        lookaheads: Dict[Tuple[int, int], Set[int]] = {}
-        propagations: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        index: Dict[Tuple[int, int], int] = {}
+        for state, moves in enumerate(transitions):
+            for symbol in moves:
+                if not is_terminal[symbol]:
+                    index[state, symbol] = len(index)
 
-        for start_sym, prod_index in encoded.start_production.items():
-            state = automaton.start_state[start_sym]
-            lookaheads.setdefault((state, item(prod_index, 0)), set()).add(
-                encoded.start_eof[start_sym]
-            )
+        direct: List[int] = []
+        reads: List[List[int]] = []
+        for state, symbol in index:
+            target = transitions[state][symbol]
+            mask = 0
+            edges = []
+            for next_symbol in transitions[target]:
+                if is_terminal[next_symbol]:
+                    mask |= 1 << next_symbol
+                elif next_symbol in nullable:
+                    edges.append(index[target, next_symbol])
+            direct.append(mask)
+            reads.append(edges)
+        for start_sym, state in automaton.start_state.items():
+            direct[index[state, start_sym]] |= 1 << encoded.start_eof[start_sym]
+        read = _digraph(reads, direct)
 
+        # rhs[nullable_tail[p]:] is the longest all-nullable suffix.
+        nullable_tail = []
+        for _, rhs in productions:
+            tail = len(rhs)
+            while tail and rhs[tail - 1] in nullable:
+                tail -= 1
+            nullable_tail.append(tail)
+
+        includes: List[List[int]] = [[] for _ in index]
+        lookback: Dict[Tuple[int, int], List[int]] = {}
+        for (origin, lhs), transition in index.items():
+            for prod_index in encoded.by_lhs.get(lhs, ()):
+                rhs = productions[prod_index][1]
+                tail = nullable_tail[prod_index]
+                state = origin
+                for position, symbol in enumerate(rhs):
+                    if position + 1 >= tail and not is_terminal[symbol]:
+                        includes[index[state, symbol]].append(transition)
+                    state = transitions[state][symbol]
+                lookback.setdefault((state, prod_index), []).append(transition)
+        follow = _digraph(includes, read)
+
+        def lookaheads(state: int, prod_index: int) -> int:
+            mask = 0
+            for transition in lookback.get((state, prod_index), ()):
+                mask |= follow[transition]
+            return mask
+
+        epsilon: Dict[int, List[int]] = {}
+        for prod_index, (lhs, rhs) in enumerate(productions):
+            if not rhs:
+                epsilon.setdefault(lhs, []).append(prod_index)
+
+        reductions: List[List[Tuple[int, int]]] = []
         for state, kernel in enumerate(automaton.states):
-            transitions = automaton.transitions[state]
+            reduce_prods = []
             for kernel_item in kernel:
-                probe = self._lr1_closure({kernel_item: {PROBE}})
-                for encoded_item, las in probe.items():
-                    prod_index, dot = item_parts(encoded_item)
-                    _, rhs = productions[prod_index]
-                    if dot >= len(rhs):
-                        continue
-                    target_state = transitions[rhs[dot]]
-                    target_key = (target_state, encoded_item + 1)
-                    for la in las:
-                        if la == PROBE:
-                            propagations.setdefault(
-                                (state, kernel_item), []
-                            ).append(target_key)
-                        else:
-                            lookaheads.setdefault(target_key, set()).add(la)
+                prod_index, dot = item_parts(kernel_item)
+                if dot == len(productions[prod_index][1]):
+                    reduce_prods.append(prod_index)
+            reduce_prods.extend(sorted(
+                prod_index
+                for symbol in transitions[state]
+                for prod_index in epsilon.get(symbol, ())
+            ))
+            reductions.append([
+                (prod_index, lookaheads(state, prod_index))
+                for prod_index in reduce_prods
+            ])
+        return reductions
 
-        # Deduplicate propagation targets.
-        for key, targets in propagations.items():
-            propagations[key] = list(dict.fromkeys(targets))
 
-        # Fixpoint propagation.
-        worklist = list(lookaheads.keys())
-        while worklist:
-            source = worklist.pop()
-            source_las = lookaheads.get(source)
-            if not source_las:
-                continue
-            for target in propagations.get(source, ()):
-                target_las = lookaheads.setdefault(target, set())
-                before = len(target_las)
-                target_las.update(source_las)
-                if len(target_las) != before:
-                    worklist.append(target)
-        return lookaheads
+def _digraph(relation: List[List[int]], base: List[int]) -> List[int]:
+    """DeRemer & Pennello's ``digraph``: ``F(x) = base(x) | F(y)`` for
+    every ``x relation y``, solved in one Tarjan traversal so that each
+    strongly connected component shares a single set.  The traversal
+    keeps its own frame stack, so relation chains of any depth are safe
+    under the default recursion limit."""
+    result = list(base)
+    depth = [0] * len(base)
+    finished = len(base) + 1
+    stack: List[int] = []
+    for root in range(len(base)):
+        if depth[root]:
+            continue
+        stack.append(root)
+        depth[root] = len(stack)
+        frames = [(root, len(stack), iter(relation[root]))]
+        while frames:
+            node, mark, successors = frames[-1]
+            for succ in successors:
+                if not depth[succ]:
+                    stack.append(succ)
+                    depth[succ] = len(stack)
+                    frames.append((succ, len(stack), iter(relation[succ])))
+                    break
+                if depth[succ] < depth[node]:
+                    depth[node] = depth[succ]
+                result[node] |= result[succ]
+            else:
+                frames.pop()
+                if depth[node] == mark:
+                    while True:
+                        top = stack.pop()
+                        depth[top] = finished
+                        result[top] = result[node]
+                        if top == node:
+                            break
+                if frames:
+                    parent = frames[-1][0]
+                    if depth[node] < depth[parent]:
+                        depth[parent] = depth[node]
+                    result[parent] |= result[node]
+    return result
 
 
 class _RestoredAutomaton:
