@@ -23,10 +23,10 @@ What counts as a regression:
 * laziness percentages (``*never_forced_pct``, ``*never_parsed_pct``)
   are higher-is-better — a drop means the compiler started eagerly
   parsing work it used to skip;
-* backend speedups (``*_speedup``), dispatch throughput
-  (``*_calls_per_s``) and inline-cache hit rates (``*_hit_rate_pct``)
-  are higher-is-better — a drop means the closure backend's payoff
-  shrank;
+* speedups (``*_speedup``, e.g. walk ms / pycode ms), dispatch
+  throughput (``*_calls_per_s``) and inline-cache hit rates
+  (``*_hit_rate_pct``) are higher-is-better — a drop means an
+  optimization stopped paying off;
 * budget metrics (``*_overhead_pct``) are gated by an *absolute*
   ceiling, not a trajectory: observability overhead must stay under
   its 5% budget regardless of how the baseline drifted — relative
@@ -53,8 +53,8 @@ NAME_RULES: Tuple[Tuple[str, str, float], ...] = (
     ("*never_parsed*", "higher", 0.25),
     ("overhead_ratio*", "lower", 0.50),
     ("fingerprint_size_ratio", "lower", 0.60),
-    # Backend speedup ratios (walk ms / closure ms) — a drop means the
-    # closure backend stopped paying off.
+    # Speedup ratios (e.g. walk ms / pycode ms) — a drop means an
+    # optimization such as the pycode backend stopped paying off.
     ("*_speedup", "higher", 0.35),
     ("*_calls_per_s", "higher", 0.50),
     # Warm-daemon throughput — a drop means the compile service's

@@ -1,4 +1,4 @@
-"""The tree-walking interpreter (and the seam to the closure backend)."""
+"""The tree-walking interpreter (and the seam to the pycode backend)."""
 
 from __future__ import annotations
 
@@ -55,10 +55,9 @@ _OP_CHILDREN = {
     "statements": _C_STATEMENTS,
 }
 
-#: Lazily imported closure backend (repro.interp.closures); deferred so
+#: Lazily imported pycode backend (repro.interp.pycodegen); deferred so
 #: walk-only embedders never pay the import and to break the module
-#: cycle (closures imports this module's helpers).
-_closures = None
+#: cycle (pycodegen imports this module's helpers).
 _pycodegen = None
 
 
@@ -165,11 +164,10 @@ class Interpreter:
     """Executes a CompiledProgram.
 
     ``backend`` selects the execution strategy: ``"walk"`` (the seed
-    tree-walker, the default), ``"closure"`` (slot frames + inline
-    caches; see ``repro.interp.closures``) or ``"pycode"`` (generated
-    Python source with specialized call sites; see
-    ``repro.interp.pycodegen`` — methods its codegen cannot reproduce
-    fall back to the closure backend, and from there to the walker).
+    tree-walker, the default and the reference semantics) or
+    ``"pycode"`` (generated Python source with specialized call sites;
+    see ``repro.interp.pycodegen`` — methods its codegen cannot
+    reproduce run on the walker).
     When None, the ``MAYA_BACKEND`` environment variable decides,
     defaulting to walk.
     """
@@ -180,18 +178,12 @@ class Interpreter:
                  backend: Optional[str] = None):
         if backend is None:
             backend = os.environ.get("MAYA_BACKEND", "") or "walk"
-        if backend not in ("walk", "closure", "pycode"):
+        if backend not in ("walk", "pycode"):
             raise MayaError(
                 f"unknown interpreter backend {backend!r} "
-                f"(expected 'walk', 'closure' or 'pycode')"
+                f"(expected 'walk' or 'pycode')"
             )
         self.backend = backend
-        if backend in ("closure", "pycode"):
-            global _closures
-            if _closures is None:
-                from repro.interp import closures
-
-                _closures = closures
         if backend == "pycode":
             global _pycodegen
             if _pycodegen is None:
@@ -384,15 +376,7 @@ class Interpreter:
             plan = _pycodegen.plan_for(method, self)
             if plan is not _pycodegen.FALLBACK:
                 return _pycodegen.run_plan(self, plan, receiver, args)
-            # Codegen declined this method: drop to the closure tier.
-            plan = _closures.plan_for(method)
-            if plan is not _closures.WALK:
-                return _closures.run_plan(self, plan, receiver, args)
-        elif self.backend == "closure" and method.decl is not None \
-                and method.decl.body is not None:
-            plan = _closures.plan_for(method)
-            if plan is not _closures.WALK:
-                return _closures.run_plan(self, plan, receiver, args)
+            # Codegen declined this method: it runs on the walker below.
         impl = None
         if method.decl is None:
             # Built-in implementation: search the receiver's runtime

@@ -1,13 +1,13 @@
 """The ahead-of-time Python-codegen execution backend.
 
-The third rung of the backend ladder (``walk`` -> ``closure`` ->
-``pycode``): a per-method compiler from the *typed* AST to Python
-source, ``compile()``d once and executed as a real Python function.
-Where the closure backend pays one Python call per AST node, this
-backend pays native bytecode: Java locals become Python locals, loops
-become Python loops, ``try``/``finally`` becomes Python's, and the
-static-type fast paths the closure backend selects per node are emitted
-as bare operators.
+The fast tier of the two-tier backend ladder (``walk`` -> ``pycode``):
+a per-method compiler from the *typed* AST to Python source,
+``compile()``d once and executed as a real Python function.  Where the
+tree-walker re-dispatches on node type and resolves every local through
+a dict frame, this backend pays native bytecode: Java locals become
+Python locals, loops become Python loops, ``try``/``finally`` becomes
+Python's, and static-type fast paths (int/boolean operators, literal
+folding, string concatenation) are emitted as bare operators.
 
 Profile-guided specialization happens at the call sites:
 
@@ -36,12 +36,12 @@ Observable behaviour is bit-for-bit the walker's: the same operation
 counters bump at the same points, the same Java exceptions carry the
 same messages, and any shape this compiler cannot prove it reproduces
 raises :class:`CodegenError`, caching a ``FALLBACK`` sentinel so the
-method transparently drops to the closure backend (and from there, to
-the walker).  Plans are invalidated by ``MEMBER_EPOCH``; because
-patched sites bypass ``plan_for`` entirely, this module registers an
-epoch listener (``repro.types.types.on_member_epoch_bump``) that
-unpatches every live plan's sites the moment intercession changes any
-class's member table.
+method transparently runs on the walker.  Plans are invalidated by
+``MEMBER_EPOCH``; because patched sites bypass ``plan_for`` entirely,
+this module registers an epoch listener
+(``repro.types.types.on_member_epoch_bump``) that unpatches every live
+plan's sites the moment intercession changes any class's member
+table.
 """
 
 from __future__ import annotations
@@ -73,8 +73,10 @@ from repro.interp.interp import (
     _num,
     _primitive_cast,
 )
-from repro.interp.closures import (
+from repro.interp.ic import (
     MEGAMORPHIC,
+    PLAN_CACHE_SIZE,
+    PlanRegistry,
     _IC_CALL_HIT,
     _IC_CALL_MEGA,
     _IC_CALL_MISS,
@@ -87,8 +89,8 @@ from repro.interp.closures import (
     _is_numeric_type,
     _is_string_type,
     _FOLDABLE,
+    _MISSING,
 )
-from repro.interp import closures as _closures
 from repro.interp.values import (
     JavaArray,
     JavaObject,
@@ -103,8 +105,7 @@ from repro.types import ArrayType, BOOLEAN, PrimitiveType, array_of
 from repro.types import types as _types
 
 #: Method-body codegen outcomes (compiled / fallback / disk_hit /
-#: link_error) — the pycode analogue of
-#: ``maya_interp_closure_compiles_total``.
+#: link_error).
 _CODEGEN = REGISTRY.counter(
     "maya_interp_codegen_total",
     "Pycode-backend method compilations, by outcome.",
@@ -128,18 +129,16 @@ _CG_CORRUPT = REGISTRY.counter(
     "On-disk codegen cache entries found corrupt, quarantined, and "
     "regenerated.")
 
-#: Artifact schema version; stale formats are plain misses.
-PYCODE_FORMAT = 1
+#: Artifact schema version; stale formats are plain misses.  Format 2:
+#: no null check on a non-null literal receiver.
+PYCODE_FORMAT = 2
 
 #: Opt-in on-disk source cache directory (``MAYA_CODEGEN_CACHE`` or the
 #: daemon's ``codegen_cache_dir``).
 _DISK_DIR: Optional[str] = os.environ.get("MAYA_CODEGEN_CACHE") or None
 
-#: Plan sentinel: this method always executes on a lower-tier backend.
+#: Plan sentinel: this method always executes on the walker.
 FALLBACK = object()
-
-#: Missing-value sentinel shared with the closure backend's semantics.
-_MISSING = _closures._MISSING
 
 #: Every live compiled plan, so the member-epoch listener can unpatch
 #: specialized sites the moment intercession changes a member table.
@@ -148,7 +147,7 @@ _LIVE_PLANS: "weakref.WeakSet" = weakref.WeakSet()
 
 class CodegenError(Exception):
     """A node shape the Python codegen does not reproduce exactly; the
-    method falls back to the closure backend (then the walker)."""
+    method falls back to the walker."""
 
 
 class _LinkError(Exception):
@@ -209,12 +208,11 @@ def _on_member_epoch_bump(_epoch: int) -> None:
 _types.on_member_epoch_bump(_on_member_epoch_bump)
 
 
-#: Bounded registry for ``Method._pycode_plan`` attributes, mirroring
-#: the closure backend's plan registry (evictions land in the
-#: ``maya_cache_events_total{cache="interp.pycode.plans"}`` family).
-_PLAN_REGISTRY = _closures.PlanRegistry(
-    "_pycode_plan", _closures.PLAN_CACHE_SIZE,
-    perf.cache_stats("interp.pycode.plans"))
+#: Bounded registry for ``Method._pycode_plan`` attributes (evictions
+#: land in the ``maya_cache_events_total{cache="interp.pycode.plans"}``
+#: family).
+_PLAN_REGISTRY = PlanRegistry("_pycode_plan", PLAN_CACHE_SIZE,
+                              perf.cache_stats("interp.pycode.plans"))
 
 
 def plan_for(method, interp):
@@ -222,7 +220,7 @@ def plan_for(method, interp):
 
     ``interp`` supplies the class registry used to link disk-cached
     artifacts; the plan itself never captures the interpreter, so plans
-    are shared across Interpreter instances (like closure plans).
+    are shared across Interpreter instances.
     """
     cached = getattr(method, "_pycode_plan", None)
     epoch = _types.MEMBER_EPOCH
@@ -314,9 +312,9 @@ def _make_call_site(ns, index, method):
     """A self-patching virtual call site.
 
     The generated guard is ``if _k is _sN_k: <direct call>``;  this
-    dispatcher is the slow path.  While unpatched it behaves like the
-    closure backend's inline cache, and the first receiver class it
-    sees specializes the site.  Reached with a *patched* guard it is a
+    dispatcher is the slow path.  While unpatched it is a per-class
+    inline cache, and the first receiver class it sees specializes the
+    site.  Reached with a *patched* guard it is a
     deopt: counted, and past ``MEGAMORPHIC`` misses the site unpatches
     itself permanently (generic dict-IC mode)."""
     k_name, f_name, m_name = (f"_s{index}_k", f"_s{index}_f",
@@ -388,8 +386,8 @@ def _make_static_site(ns, index, method):
 
 
 def _make_ifield_site(ns, index, name):
-    """Unchecked runtime field *read* — the closure backend's field
-    inline cache, verbatim (including the array-length probe)."""
+    """Unchecked runtime field *read* through a per-class inline cache
+    (including the array-length probe)."""
     cache: Dict[object, object] = {}
 
     def read(interp, receiver):
@@ -806,6 +804,7 @@ class _MethodGen:
         self.names: Dict[str, str] = {}
         self.unbound: Dict[str, str] = {}
         self._atomic = {"v_this", "interp"}
+        self._literals = set()  # inline non-null literal atoms
         self.consts: List[Tuple[str, object, object]] = []
         self.sites: List[Tuple[int, str, object, object]] = []
         self.formal_names = [self.pyname(f.name.name) for f in self.formals]
@@ -844,6 +843,8 @@ class _MethodGen:
         if type(value) in _INLINE_LITERALS:
             atom = repr(value)
             self._atomic.add(atom)
+            if value is not None:
+                self._literals.add(atom)
             return atom
         descr = None
         try:
@@ -852,6 +853,14 @@ class _MethodGen:
         except (TypeError, ValueError):
             pass
         return self.const(value, descr)
+
+    def null_check(self, atom: str, what) -> None:
+        """Throw NullPointerException when ``atom`` is null.  A non-null
+        literal needs no check (and ``'ab' is None`` would make CPython
+        warn about ``is`` with a literal)."""
+        if atom not in self._literals:
+            self.put(f"if {atom} is None: raise interp.throw("
+                     f"'java.lang.NullPointerException', {what!r})")
 
     def spill(self, atom: str) -> str:
         """Force a (pure) atom into a stable temp."""
@@ -912,7 +921,7 @@ class _MethodGen:
 
     def tick(self) -> None:
         """The per-statement op count + step budget check (identical
-        observable points to the walker and closure backends)."""
+        observable points to the walker)."""
         self.put("_ST.value += 1")
         self.put("if _ms is not None and _cnt.statements > _ms: "
                  "interp._raise_step_limit()")
@@ -1234,7 +1243,9 @@ class _MethodGen:
             raise CodegenError(str(error)) from None
 
     def field_read(self, base: str, field) -> str:
-        """The closure backend's ``_wrap_field_read``, inlined."""
+        """A field read the checker resolved: array length, a static,
+        or a null-checked instance read defaulted on first touch (like
+        the walker)."""
         if field is None:  # the checker's array-length sentinel
             t = self.temp()
             self.put(f"{t} = len({base})")
@@ -1248,8 +1259,7 @@ class _MethodGen:
         fname = field.name
         t = self.temp()
         self.put("_FR.value += 1")
-        self.put(f"if {b} is None: raise interp.throw("
-                 f"'java.lang.NullPointerException', {fname!r})")
+        self.null_check(b, fname)
         self.put(f"{t} = {b}.fields.get({fname!r}, _MI)")
         self.put(f"if {t} is _MI: {t} = {b}.fields[{fname!r}] = "
                  f"{self.literal_atom(default_value(field.type))}")
@@ -1316,8 +1326,7 @@ class _MethodGen:
         i = self.spill(idx)
         t = self.temp()
         self.put("_AR.value += 1")
-        self.put(f"if {a} is None: raise interp.throw("
-                 f"'java.lang.NullPointerException', None)")
+        self.null_check(a, None)
         self.put(f"{t} = {a}.values")
         self.put(f"if {i} < 0 or {i} >= len({t}): raise interp.throw("
                  f"'java.lang.IndexOutOfBoundsException', str({i}))")
@@ -1395,8 +1404,7 @@ class _MethodGen:
         t = self.temp()
         tup = ", ".join(arg_atoms) + ("," if len(arg_atoms) == 1 else "")
         if null_check:
-            self.put(f"if {r} is None: raise interp.throw("
-                     f"'java.lang.NullPointerException', {mname!r})")
+            self.null_check(r, mname)
             self.put("_MC.value += 1")
         else:
             # A this-call may legally see a None receiver (static
@@ -1442,8 +1450,7 @@ class _MethodGen:
         index = self.site("scall", method, _descr_of_method(method))
         if null_check:
             r = self.spill(recv)
-            self.put(f"if {r} is None: raise interp.throw("
-                     f"'java.lang.NullPointerException', {method.name!r})")
+            self.null_check(r, method.name)
             recv = r
         self.put("_MC.value += 1")
         t = self.temp()
@@ -1794,8 +1801,7 @@ class _MethodGen:
             a = self.spill(arr)
             i = self.spill(idx)
             self.put("_AW.value += 1")
-            self.put(f"if {a} is None: raise interp.throw("
-                     f"'java.lang.NullPointerException', None)")
+            self.null_check(a, None)
             t = self.temp()
             self.put(f"{t} = {a}.values")
             self.put(f"if {i} < 0 or {i} >= len({t}): "

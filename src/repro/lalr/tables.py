@@ -61,6 +61,9 @@ class ParseTables:
             self.automaton = Automaton(self.encoded)
             self.action: List[Dict[int, Tuple[str, int]]] = []
             self.goto: List[Dict[int, int]] = []
+            #: (state, lookahead) -> the production whose nonassoc
+            #: precedence turned that shift into an error entry.
+            self._nonassoc_errors: Dict[Tuple[int, int], int] = {}
             self._build()
         else:
             self.automaton = _RestoredAutomaton(
@@ -154,13 +157,54 @@ class ParseTables:
         prod_index: int,
         conflicts: List[str],
     ) -> None:
+        """Add ``reduce prod_index`` on ``la`` to one state's actions.
+
+        Where the state also shifts ``la``, every reduce is judged by
+        precedence against that shift, even after an earlier reduce
+        displaced it, so the outcome cannot depend on reduce order: a
+        reduce the shift beats is dropped, one without precedence is a
+        shift/reduce conflict, and a second reduce that beats the shift
+        (or turns it into a nonassoc error) is a reduce/reduce conflict.
+        """
         existing = actions.get(la)
-        if existing is None:
+        if existing is None and (state, la) not in self._nonassoc_errors:
             actions[la] = (REDUCE, prod_index)
             return
-        kind, value = existing
         la_name = self.encoded.name(la)
         production = self.encoded.production_objects[prod_index]
+        if la in self.automaton.transitions[state]:
+            resolution = self._resolve_shift_reduce(la, production)
+            if resolution == "shift":
+                return
+            if resolution is None:
+                conflicts.append(
+                    f"shift/reduce on {la_name!r} in state {state}: "
+                    f"shift vs [{production}]"
+                )
+                return
+            if existing is not None and existing[0] == SHIFT:
+                if resolution == "reduce":
+                    actions[la] = (REDUCE, prod_index)
+                else:
+                    del actions[la]
+                    self._nonassoc_errors[state, la] = prod_index
+                return
+            if existing is None:
+                if resolution == "error":
+                    return  # an error entry either way
+                # Name the nonassoc production first, as when it comes
+                # second and meets this reduce in the table.
+                first = self._nonassoc_errors[state, la]
+                second = prod_index
+            else:
+                first, second = prod_index, existing[1]
+            conflicts.append(
+                f"reduce/reduce on {la_name!r} in state {state}: "
+                f"[{self.encoded.production_objects[first]}] vs "
+                f"[{self.encoded.production_objects[second]}]"
+            )
+            return
+        kind, value = existing
         if kind == REDUCE:
             if value == prod_index:
                 return
@@ -170,20 +214,11 @@ class ParseTables:
                 f"[{production}] vs [{other}]"
             )
             return
-        if kind in (SHIFT, ACCEPT):
-            resolution = self._resolve_shift_reduce(la, production)
-            if resolution == "shift":
-                return  # keep the shift
-            if resolution == "reduce":
-                actions[la] = (REDUCE, prod_index)
-                return
-            if resolution == "error":
-                del actions[la]
-                return
-            conflicts.append(
-                f"shift/reduce on {la_name!r} in state {state}: "
-                f"shift vs [{production}]"
-            )
+        # An accept entry: '$eof' symbols carry no precedence.
+        conflicts.append(
+            f"shift/reduce on {la_name!r} in state {state}: "
+            f"shift vs [{production}]"
+        )
 
     def _resolve_shift_reduce(self, la: int, production: Production) -> Optional[str]:
         """Resolve via precedence; None when no declarations apply."""
@@ -422,7 +457,9 @@ _TABLE_CACHE = LRUCache(TABLE_CACHE_SIZE, perf.cache_stats("lalr.tables"))
 #: in particular the base Java grammar.
 _DISK_CACHE_DIR: Optional[str] = os.environ.get("MAYA_TABLE_CACHE") or None
 
-_SNAPSHOT_FORMAT = 1
+#: Format 2: conflict resolution no longer depends on reduce order, so
+#: a grammar stored as conflict-free under format 1 may now be rejected.
+_SNAPSHOT_FORMAT = 2
 
 #: Corrupt/truncated on-disk entries detected (then quarantined).
 _CORRUPT_TOTAL = REGISTRY.counter(

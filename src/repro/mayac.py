@@ -19,13 +19,13 @@ Options:
     --use NAME        import a metaprogram compiler-wide (repeatable;
                       the paper's -use option)
     --run CLASS       interpret CLASS.main() after compiling
-    --backend walk|closure|pycode
+    --backend walk|pycode
                       execution backend for --run: the seed tree-walker
-                      (default), the closure compiler with slot frames
-                      and inline caches, or the pycode backend that
-                      generates Python source with specialized call
-                      sites; also settable via the MAYA_BACKEND
-                      environment variable
+                      (default, the reference semantics) or the pycode
+                      backend that generates Python source with
+                      specialized call sites, running any method it
+                      cannot compile on the walker; also settable via
+                      the MAYA_BACKEND environment variable
     --dump-codegen [METHOD]
                       print the pycode backend's generated Python
                       source (optionally only for methods whose
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="import a metaprogram compiler-wide")
     parser.add_argument("--run", metavar="CLASS",
                         help="run CLASS.main() after compiling")
-    parser.add_argument("--backend", choices=("walk", "closure", "pycode"),
+    parser.add_argument("--backend", choices=("walk", "pycode"),
                         default=None,
                         help="execution backend for --run (default: "
                              "MAYA_BACKEND or walk)")

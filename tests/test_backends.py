@@ -1,31 +1,32 @@
-"""Differential tests for the three execution backends.
+"""Differential tests for the two execution backends.
 
-The closure backend (slot frames + inline caches) and the pycode
-backend (generated Python source with specialized call sites) must be
-observably identical to the seed tree-walker: same stdout, same
-operation-counter snapshots (step equivalence), and the same thrown
-``JavaThrow`` classes.  Every shipped example runs under every backend,
-plus targeted programs covering the ``_virtual_lookup`` shadowing
-edges, inline cache transitions, and the pycode backend's
-deoptimization paths (guard failures must be invisible apart from the
-deopt counter).
+The pycode backend (generated Python source with specialized call
+sites and inline caches) must be observably identical to the seed
+tree-walker: same stdout, same operation-counter snapshots (step
+equivalence), and the same thrown ``JavaThrow`` classes.  Every shipped
+example runs under both backends, plus targeted programs covering the
+``_virtual_lookup`` shadowing edges, inline cache transitions, the
+pycode backend's deoptimization paths (guard failures must be
+invisible apart from the deopt counter), and its one fallback path (a
+method codegen declines runs on the walker).
 """
 
 import json
 import pathlib
+import warnings
 
 import pytest
 
 from repro.core import MayaError
 from repro.interp import Interpreter, JavaThrow, StepLimitExceeded
-from repro.interp import closures, pycodegen
+from repro.interp import ic, pycodegen
 from repro.mayac import main as mayac_main
 from repro.obs.metrics import REGISTRY
 
 from tests.conftest import compile_source
 from tests.test_examples import EXAMPLES_DIR, HELLO, SCRIPTS, run_example
 
-BACKENDS = ("walk", "closure", "pycode")
+BACKENDS = ("walk", "pycode")
 
 
 def run_all(source, cls="Demo", macros=False, multijava=False, args=()):
@@ -67,7 +68,7 @@ class TestBackendSelection:
         assert Interpreter(program).backend == "walk"
 
     def test_env_var_selects_backend(self, monkeypatch):
-        for backend in ("closure", "pycode"):
+        for backend in BACKENDS:
             monkeypatch.setenv("MAYA_BACKEND", backend)
             program = compile_source(self.SRC)
             interp = Interpreter(program)
@@ -75,14 +76,16 @@ class TestBackendSelection:
             assert interp.run_static("Demo") == 42
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("MAYA_BACKEND", "closure")
+        monkeypatch.setenv("MAYA_BACKEND", "pycode")
         program = compile_source(self.SRC)
         assert Interpreter(program, backend="walk").backend == "walk"
 
     def test_unknown_backend_rejected(self):
         program = compile_source(self.SRC)
-        with pytest.raises(MayaError, match="unknown interpreter backend"):
-            Interpreter(program, backend="jit")
+        for backend in ("jit", "closure"):
+            with pytest.raises(MayaError,
+                               match="unknown interpreter backend"):
+                Interpreter(program, backend=backend)
 
     def test_mayac_backend_flag(self, tmp_path, capsys):
         src = tmp_path / "demo.maya"
@@ -528,7 +531,7 @@ class TestInlineCaches:
         """
         program = compile_source(source)
         before = _ic_counts()
-        interp = Interpreter(program, backend="closure")
+        interp = Interpreter(program, backend="pycode")
         assert interp.run_static("Demo") == 3 * sum(range(10))
         after = _ic_counts()
         mega = after.get(("call", "megamorphic"), 0) - \
@@ -536,7 +539,8 @@ class TestInlineCaches:
         hits = after.get(("call", "hit"), 0) - \
             before.get(("call", "hit"), 0)
         # 10 receiver classes at one site: 8 cached, 2 spill to
-        # megamorphic lookups every round after that.
+        # megamorphic lookups every round after that (C0 patches the
+        # site first, so its direct calls bypass the cache).
         assert mega >= 4
         assert hits >= 8 * 2  # cached classes keep hitting
 
@@ -551,18 +555,15 @@ class TestInlineCaches:
             }
         """
         program = compile_source(source)
-        family = REGISTRY.get("maya_interp_closure_compiles_total")
-
-        def compiled_count():
-            return sum(child.value for labels, child in family.samples()
-                       if labels[0] == "compiled")
-
-        first = Interpreter(program, backend="closure")
+        method = program.class_named("Demo").type.methods["main"][0]
+        first = Interpreter(program, backend="pycode")
         assert first.run_static("Demo") == 10
-        after_first = compiled_count()
-        second = Interpreter(program, backend="closure")
+        plan = pycodegen.plan_for(method, first)
+        second = Interpreter(program, backend="pycode")
         assert second.run_static("Demo") == 10
-        assert compiled_count() == after_first  # plan cache hit
+        # The plan (and its inline caches) lives on the Method, not on
+        # the interpreter that compiled it.
+        assert pycodegen.plan_for(method, second) is plan
 
     def test_profile_renders_ic_section(self, tmp_path, capsys):
         src = tmp_path / "demo.maya"
@@ -578,9 +579,9 @@ class TestInlineCaches:
             }
         """)
         assert mayac_main([str(src), "--run", "Demo",
-                           "--backend", "closure", "--profile"]) == 0
+                           "--backend", "pycode", "--profile"]) == 0
         err = capsys.readouterr().err
-        assert "inline caches (closure backend):" in err
+        assert "inline caches:" in err
         assert "call" in err
 
     def test_metrics_out_exports_ic_families(self, tmp_path, capsys):
@@ -596,7 +597,7 @@ class TestInlineCaches:
         """)
         out = tmp_path / "metrics.json"
         assert mayac_main([str(src), "--run", "Demo",
-                           "--backend", "closure",
+                           "--backend", "pycode",
                            "--metrics-out", str(out),
                            "--metrics-format", "json"]) == 0
         capsys.readouterr()
@@ -604,7 +605,10 @@ class TestInlineCaches:
         names = {family["name"] for family in payload["families"]}
         assert "maya_interp_ic_events_total" in names
         assert "maya_interp_ops_total" in names
-        assert "maya_interp_closure_compiles_total" in names
+        assert "maya_interp_codegen_total" in names
+        ic_help = next(family["help"] for family in payload["families"]
+                       if family["name"] == "maya_interp_ic_events_total")
+        assert "closure" not in ic_help.lower()
 
     def test_prometheus_export_includes_ic(self, tmp_path, capsys):
         src = tmp_path / "demo.maya"
@@ -612,11 +616,12 @@ class TestInlineCaches:
                        "{ System.out.println(\"m\"); } }")
         out = tmp_path / "metrics.prom"
         assert mayac_main([str(src), "--run", "Demo",
-                           "--backend", "closure",
+                           "--backend", "pycode",
                            "--metrics-out", str(out)]) == 0
         capsys.readouterr()
         text = out.read_text()
         assert "maya_interp_ops_total" in text
+        assert "# TYPE maya_interp_ic_events_total counter" in text
 
 
 # ---------------------------------------------------------------------------
@@ -679,42 +684,11 @@ class TestCountersView:
 
 
 # ---------------------------------------------------------------------------
-# Checker bookkeeping the backend relies on
+# AST bookkeeping the code generator relies on
 # ---------------------------------------------------------------------------
 
 
-class TestDeclaredLocals:
-    def test_body_stamped_with_declared_count(self):
-        program = compile_source("""
-            class Demo {
-                static int main() {
-                    int a = 1;
-                    { int b = 2; int c = 3; }
-                    for (int i = 0; i < 2; i++) { int d = i; }
-                    return a;
-                }
-            }
-        """)
-        decl = program.class_named("Demo").decl
-        method = next(m for m in decl.members
-                      if getattr(m, "name", None) is not None
-                      and m.name.name == "main")
-        # a, b, c, i, d — five bindings under the method root.
-        assert method.body.declared_locals == 5
-
-    def test_formals_counted(self):
-        program = compile_source("""
-            class Demo {
-                static int add(int x, int y) { int z = x + y; return z; }
-                static int main() { return Demo.add(1, 2); }
-            }
-        """)
-        decl = program.class_named("Demo").decl
-        method = next(m for m in decl.members
-                      if getattr(m, "name", None) is not None
-                      and m.name.name == "add")
-        assert method.body.declared_locals == 3  # x, y, z
-
+class TestNodeKindTags:
     def test_node_kind_tags(self):
         from repro.ast import nodes as n
 
@@ -760,11 +734,11 @@ class TestExamplesUnderAllBackends:
 
 
 # ---------------------------------------------------------------------------
-# Macro and MultiJava expansions under the closure backend
+# Macro and MultiJava expansions under the pycode backend
 # ---------------------------------------------------------------------------
 
 
-class TestExpandedCodeUnderClosure:
+class TestExpandedCodeUnderPycode:
     def test_foreach_expansion(self):
         assert_equivalent("""
             import java.util.*;
@@ -815,26 +789,96 @@ class TestExpandedCodeUnderClosure:
 
 
 # ---------------------------------------------------------------------------
-# Fallback: unsupported shapes run on the walker, transparently
+# Fallback: a method codegen declines runs on the walker, transparently
 # ---------------------------------------------------------------------------
 
 
+def _codegen_counts():
+    family = REGISTRY.get("maya_interp_codegen_total")
+    return {labels[0]: child.value for labels, child in family.samples()}
+
+
+FALLBACK_SOURCE = """
+    class Demo {
+        static int risky(int n) {
+            System.out.println("risky " + n);
+            int[] xs = new int[2];
+            xs[0] = 40;
+            return xs[n] + 2;
+        }
+        static int main() {
+            System.out.println("start " + Demo.risky(0));
+            return Demo.risky(5);
+        }
+    }
+"""
+
+
+@pytest.fixture
+def decline_risky(monkeypatch):
+    """Make codegen raise CodegenError for ``Demo.risky`` only (with the
+    disk cache off, so nothing bypasses it); returns the list of
+    methods it was asked to generate."""
+    asked = []
+    generate = pycodegen._MethodGen.generate
+
+    def declining(self):
+        asked.append(self.method)
+        if self.method.name == "risky":
+            raise pycodegen.CodegenError("declined for the test")
+        return generate(self)
+
+    monkeypatch.setattr(pycodegen._MethodGen, "generate", declining)
+    monkeypatch.setattr(pycodegen, "_DISK_DIR", None)
+    return asked
+
+
+def _run_throwing(program, backend):
+    interp = Interpreter(program, backend=backend)
+    with pytest.raises(JavaThrow) as exc:
+        interp.run_static("Demo")
+    return (interp.output, interp.counters.snapshot(),
+            exc.value.value.class_type.name)
+
+
 class TestWalkFallback:
-    def test_walk_sentinel_is_cached(self):
-        program = compile_source("""
-            class Demo {
-                static int main() { return 7; }
-            }
-        """)
-        decl = program.class_named("Demo").decl
-        method_decl = decl.members[0]
-        klass = program.class_named("Demo").type
-        method = klass.methods["main"][0]
-        plan = closures.plan_for(method)
-        assert plan is not closures.WALK
-        cached_epoch, cached = method._closure_plan
-        assert cached is plan
-        assert closures.plan_for(method) is plan
+    def test_forced_fallback_matches_walk(self, decline_risky):
+        program = compile_source(FALLBACK_SOURCE)
+        walk = _run_throwing(program, "walk")
+        before = _codegen_counts()
+        pycode = _run_throwing(program, "pycode")
+        after = _codegen_counts()
+        assert pycode == walk
+        assert walk[0] == ["risky 0", "start 42", "risky 5"]
+        assert walk[2] == "java.lang.IndexOutOfBoundsException"
+        # risky ran twice but was declined (and counted) once; main
+        # still compiled.
+        assert after.get("fallback", 0) - before.get("fallback", 0) == 1
+        assert after.get("compiled", 0) - before.get("compiled", 0) == 1
+
+    def test_walk_sentinel_is_cached(self, decline_risky):
+        program = compile_source(FALLBACK_SOURCE)
+        interp = Interpreter(program, backend="pycode")
+        with pytest.raises(JavaThrow):
+            interp.run_static("Demo")
+        method = program.class_named("Demo").type.methods["risky"][0]
+        assert method._pycode_plan[1] is pycodegen.FALLBACK
+        asked = len(decline_risky)
+        before = _codegen_counts().get("fallback", 0)
+        assert pycodegen.plan_for(method, interp) is pycodegen.FALLBACK
+        assert len(decline_risky) == asked  # no recompile
+        assert _codegen_counts().get("fallback", 0) == before
+
+    def test_dump_codegen_names_walker_fallback(self, decline_risky,
+                                                tmp_path, capsys):
+        src = tmp_path / "demo.maya"
+        src.write_text(FALLBACK_SOURCE)
+        assert mayac_main([str(src), "--dump-codegen", "Demo."]) == 0
+        out = capsys.readouterr().out
+        risky = out[out.index("# === Demo.risky"):]
+        assert risky.splitlines()[1] == \
+            "# (no generated code: runs on the walker)"
+        assert "def _m(interp, v_this" in out  # main still compiled
 
     def test_intercession_invalidates_plans(self):
         program = compile_source("""
@@ -842,24 +886,21 @@ class TestWalkFallback:
                 static int main() { return 7; }
             }
         """)
+        interp = Interpreter(program, backend="pycode")
         klass = program.class_named("Demo").type
         method = klass.methods["main"][0]
-        first = closures.plan_for(method)
+        first = pycodegen.plan_for(method, interp)
+        assert first is not pycodegen.FALLBACK
         from repro.types import bump_member_epoch
 
         bump_member_epoch()
-        second = closures.plan_for(method)
+        second = pycodegen.plan_for(method, interp)
         assert second is not first  # recompiled under the new epoch
 
 
 # ---------------------------------------------------------------------------
 # Pycode backend: codegen metrics, deopt paths, plan invalidation
 # ---------------------------------------------------------------------------
-
-
-def _codegen_counts():
-    family = REGISTRY.get("maya_interp_codegen_total")
-    return {labels[0]: child.value for labels, child in family.samples()}
 
 
 def _deopt_count(site="call"):
@@ -946,7 +987,7 @@ class TestPycodeBackend:
         # C0 patches the site; C1..C8 deopt until the MEGAMORPHIC
         # threshold unpatches it for good, so rounds 2-3 add nothing.
         delta = _deopt_count() - before
-        assert delta == closures.MEGAMORPHIC
+        assert delta == ic.MEGAMORPHIC
 
     def test_pycode_plan_reused_across_interpreters(self):
         program = compile_source("""
@@ -985,6 +1026,31 @@ class TestPycodeBackend:
         assert all(plan.ns[k] is None for k in patched)
         # ...and the memoized plan is recompiled under the new epoch.
         assert pycodegen.plan_for(method, interp) is not plan
+
+    def test_literal_receiver_compiles_without_warnings(self):
+        # A null check on a literal receiver ('ab' is None) makes
+        # CPython warn; under -W error the resulting SyntaxError would
+        # drop the method to the walker silently.
+        program = compile_source("""
+            class Demo {
+                static int main() {
+                    System.out.println("ab".charAt(1));
+                    return "abc".length();
+                }
+            }
+        """)
+        before = _codegen_counts()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            interp = Interpreter(program, backend="pycode")
+            assert interp.run_static("Demo") == 3
+        after = _codegen_counts()
+        assert after.get("compiled", 0) - before.get("compiled", 0) == 1
+        assert after.get("fallback", 0) - before.get("fallback", 0) == 0
+        assert interp.output == ["b"]
+        method = program.class_named("Demo").type.methods["main"][0]
+        assert "'ab' is None" not in pycodegen.plan_for(method,
+                                                        interp).source
 
     def test_dump_source_is_compilable_python(self):
         program = compile_source(POLY_SOURCE)
@@ -1148,7 +1214,7 @@ class TestPlanCacheBound:
                 self.evictions += 1
 
         stats = Stats()
-        registry = closures.PlanRegistry("_test_plan", 2, stats)
+        registry = ic.PlanRegistry("_test_plan", 2, stats)
         methods = [FakeMethod() for _ in range(3)]
         for m in methods:
             m._test_plan = (0, object())
@@ -1171,7 +1237,7 @@ class TestPlanCacheBound:
                 self.evictions += 1
 
         stats = Stats()
-        registry = closures.PlanRegistry("_test_plan", 2, stats)
+        registry = ic.PlanRegistry("_test_plan", 2, stats)
         a, b, c = FakeMethod(), FakeMethod(), FakeMethod()
         for m in (a, b):
             m._test_plan = (0, object())

@@ -5,6 +5,7 @@ import pytest
 
 from repro.grammar import Assoc, Grammar, nonterminal
 from repro.lalr import ConflictError, ParseError, Parser, ParserContext, build_tables
+from repro.lalr.tables import ParseTables
 from repro.lexer import scan
 
 
@@ -90,6 +91,56 @@ class TestConflictRejection:
         assert parser.parse("TestE_na", scan("1 < 2"))[0] is True
         with pytest.raises(ParseError):
             parser.parse("TestE_na", scan("1 < 2 < 3"))
+
+
+def nonassoc_pair_grammar(x_first: bool, y_prec) -> Grammar:
+    """After ``na_a`` one state shifts ``na_lt`` and reduces both
+    ``X -> na_a`` (%prec ``na_lt``, nonassoc: an error entry on
+    ``na_lt``) and ``Y -> na_a`` (%prec ``y_prec``) on ``na_lt``.
+    ``x_first`` picks which reduce is declared, and so added, first."""
+    g = Grammar("na-pair")
+    S, X, Y = (nonterminal(f"TestNa{name}") for name in "SXY")
+    g.precedence.declare(Assoc.LEFT, "na_lo")
+    g.precedence.declare(Assoc.NONASSOC, "na_lt")
+    g.precedence.declare(Assoc.LEFT, "na_hi")
+    g.add_production(S, ["na_a", "na_lt", "na_c"], tag="na_s_a",
+                     internal=True)
+    g.add_production(S, [X, "na_lt"], tag="na_s_x", internal=True)
+    g.add_production(S, [Y, "na_lt"], tag="na_s_y", internal=True)
+    reduces = [(X, "na_lt"), (Y, y_prec)]
+    for lhs, prec in reduces if x_first else reversed(reduces):
+        g.add_production(lhs, ["na_a"], tag=f"na_{lhs.name}:{prec}",
+                         prec=prec, internal=True)
+    g.declare_start(S)
+    return g
+
+
+class TestNonassocOrder:
+    """Whether a grammar is accepted, and the conflicts it reports, must
+    not depend on which reduce a nonassoc error entry meets first."""
+
+    @staticmethod
+    def outcome(grammar):
+        try:
+            ParseTables(grammar)  # uncached: both orders really build
+        except ConflictError as exc:
+            return exc.conflicts
+        return "accepted"
+
+    @pytest.mark.parametrize("y_prec, expected", [
+        ("na_hi", "reduce/reduce"),  # Y's reduce beats the shift
+        ("na_lo", None),             # the shift beats Y's reduce
+        ("na_lt", None),             # same nonassoc level: an error too
+        (None, "shift/reduce"),      # no precedence to resolve with
+    ])
+    def test_both_orders_agree(self, y_prec, expected):
+        first, second = (self.outcome(nonassoc_pair_grammar(x_first, y_prec))
+                         for x_first in (True, False))
+        assert first == second
+        if expected is None:
+            assert first == "accepted"
+        else:
+            assert len(first) == 1 and first[0].startswith(expected)
 
 
 class TestDriver:
